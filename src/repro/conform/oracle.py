@@ -6,12 +6,14 @@ failure must say exactly where the implementations disagreed):
 
 - **Matchers** -- :func:`compare_matchers` drives a reference scheduler
   (:class:`~repro.core.matching.pim.ParallelIterativeMatcher`,
-  :class:`~repro.core.matching.islip.IslipMatcher`,
-  :class:`~repro.core.matching.fifo.FifoScheduler`) and its bitmask
+  :class:`~repro.core.matching.islip.IslipMatcher`) and its bitmask
   counterpart (strict-RNG mode) cell by cell through two identically-fed
   fabrics from identical seeds, comparing every slot's full matching.
   This checks the matchers *and* the fabric's incremental mask
-  bookkeeping against the set-based reference path in one sweep.
+  bookkeeping against the set-based reference path in one sweep.  The
+  reference :class:`~repro.core.matching.fifo.FifoScheduler` has no
+  fast counterpart; its cases run the reference alone and only pin its
+  matchings.
 - **Routing** -- :func:`compare_routing` builds the same up*/down*
   orientation twice over a shared topology and cross-checks AN1's
   hop-by-hop forwarding (``next_hop`` with the gone-down bit, the
@@ -34,11 +36,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.matching.bitmask import (
-    BitmaskFifoScheduler,
-    BitmaskIslip,
-    BitmaskPim,
-)
+from repro.core.matching.bitmask import BitmaskIslip, BitmaskPim
 from repro.core.matching.fifo import FifoScheduler
 from repro.core.matching.islip import IslipMatcher
 from repro.core.matching.pim import MatchResult, ParallelIterativeMatcher
@@ -105,7 +103,10 @@ def _seeded_rng(label: str, seed: int) -> random.Random:
 
 
 def _build_pair(kind: str, n_ports: int, seed: int):
-    """(reference fabric, candidate fabric) with identically-seeded RNGs."""
+    """(reference fabric, candidate fabric) with identically-seeded RNGs.
+
+    The candidate is ``None`` for a kind with no fast-path counterpart.
+    """
     if kind == "pim":
         reference = VoqFabric(
             n_ports,
@@ -126,15 +127,12 @@ def _build_pair(kind: str, n_ports: int, seed: int):
         reference = VoqFabric(n_ports, IslipMatcher(n_ports, iterations=3))
         candidate = VoqFabric(n_ports, BitmaskIslip(n_ports, iterations=3))
     elif kind == "fifo":
+        # No fast FIFO scheduler exists: the fifo cases replay the
+        # reference alone, pinning its matchings in the corpus.
         reference = FifoFabric(
             n_ports, FifoScheduler(n_ports, rng=_seeded_rng("fifo", seed))
         )
-        candidate = FifoFabric(
-            n_ports,
-            BitmaskFifoScheduler(
-                n_ports, rng=_seeded_rng("fifo", seed), strict_rng=True
-            ),
-        )
+        candidate = None
     else:
         raise ValueError(f"unknown matcher kind {kind!r}")
     return reference, candidate
@@ -175,12 +173,15 @@ def compare_matchers(
         arrivals = traffic.arrivals(slot)
         for input_port, output_port in arrivals:
             reference.offer(input_port, output_port, slot)
-            candidate.offer(input_port, output_port, slot)
+            if candidate is not None:
+                candidate.offer(input_port, output_port, slot)
         ref_result = reference.step(slot)
-        cand_result = candidate.step(slot)
         matchings.update(
             repr(sorted(ref_result.matching.items())).encode("utf-8")
         )
+        if candidate is None:
+            continue
+        cand_result = candidate.step(slot)
         if ref_result.matching != cand_result.matching:
             port, ref_grant, cand_grant = _first_divergent_port(
                 ref_result, cand_result
@@ -665,257 +666,18 @@ def link_sweep(
 
 
 # ======================================================================
-# fastpath differential (stacked engine vs per-switch fabrics)
+# slot driver differential (wave-coalesced vs per-switch slot timers)
 # ======================================================================
-#: matcher configurations the engine vectorizes, including the strict-RNG
-#: variants whose draws must come off the Python ``random.Random`` stream
-#: call-for-call.
-FASTPATH_KINDS = ("pim", "pim_strict", "islip", "fifo", "fifo_strict")
-
-
-def _build_fastpath_fabric(kind: str, n_ports: int, seed: int):
-    """One bitmask fabric of ``kind``; call twice for a scalar/engine twin."""
-    strict = kind.endswith("_strict")
-    if kind.startswith("pim"):
-        return VoqFabric(
-            n_ports,
-            BitmaskPim(
-                n_ports,
-                iterations=3,
-                rng=_seeded_rng(f"fastpath/{kind}", seed),
-                strict_rng=strict,
-            ),
-        )
-    if kind == "islip":
-        return VoqFabric(n_ports, BitmaskIslip(n_ports, iterations=3))
-    if kind.startswith("fifo"):
-        return FifoFabric(
-            n_ports,
-            BitmaskFifoScheduler(
-                n_ports,
-                rng=_seeded_rng(f"fastpath/{kind}", seed),
-                strict_rng=strict,
-            ),
-        )
-    raise ValueError(f"unknown fastpath kind {kind!r}")
-
-
-def _fastpath_state(fabric) -> Dict[str, Any]:
-    """Full observable state of a fabric as plain data.
-
-    Everything the engine's write-back contract covers: queue contents
-    (VOQ deques hold arrival slots; FIFO queues hold ``(slot, output)``
-    tuples), incremental masks, iSLIP pointers, the scheduler RNG's
-    Mersenne state, and every metric including raw sample order.
-    """
-    metrics = fabric.metrics
-    state: Dict[str, Any] = {
-        "metrics": [
-            metrics.slots,
-            metrics.cells_offered,
-            metrics.cells_delivered,
-            metrics.slots_with_backlog,
-            list(metrics.latency._samples),
-            list(metrics.iterations_to_maximal._samples),
-            sorted(metrics.maximal_within.items()),
-            sorted(
-                [list(pair), count]
-                for pair, count in metrics.delivered_per_pair.items()
-            ),
-        ],
-    }
-    if isinstance(fabric, VoqFabric):
-        state["queues"] = [
-            sorted([o, list(q)] for o, q in queues.items() if q)
-            for queues in fabric.queues
-        ]
-        state["masks"] = [
-            list(fabric.request_masks),
-            list(fabric.col_masks),
-            fabric.union_mask,
-        ]
-    else:
-        state["queues"] = [
-            [list(entry) for entry in q] for q in fabric.queues
-        ]
-    scheduler = fabric.scheduler
-    rng = getattr(scheduler, "rng", None)
-    if rng is not None:
-        version, internal, gauss = rng.getstate()
-        state["rng"] = [version, list(internal), gauss]
-    if hasattr(scheduler, "grant_pointers"):
-        state["pointers"] = [
-            list(scheduler.grant_pointers),
-            list(scheduler.accept_pointers),
-        ]
-    return state
-
-
-def _fastpath_metrics_view(fabric) -> List[Any]:
-    """The subset comparable while queue state still lives in the engine."""
-    state = _fastpath_state(fabric)
-    return [state["metrics"], state.get("rng")]
-
-
-def compare_fastpath(
-    kind: str,
-    n_ports: int,
-    seed: int,
-    pattern: str,
-    n_slots: int = 120,
-    backend: str = "auto",
-) -> Tuple[Optional[Divergence], str]:
-    """Drive scalar fabrics and their engine-resident twins from one seed.
-
-    Two sibling fabrics of ``kind`` share one
-    :class:`~repro.fastpath.engine.FabricArrayEngine` (so the stacked
-    arrays interleave rows, the hostile case for indexing bugs) while an
-    identically-seeded scalar pair steps independently.  Fabric 0 is
-    pinned back to the scalar path a third of the way in and re-adopted
-    at two thirds, exercising the mid-run write-back/re-register cycle.
-    Metrics and RNG streams are compared at every engine sync; the full
-    state (queues, masks, pointers, samples) is compared after the final
-    write-back.  Returns ``(divergence, state_hash)`` where the hash is a
-    SHA-256 over the scalar twins' end states -- the corpus pin.
-    """
-    from repro.conform.digest import canonical_bytes
-    from repro.fastpath.engine import FabricArrayEngine
-
-    n_fabrics = 2
-    scalar = [
-        _build_fastpath_fabric(kind, n_ports, seed * n_fabrics + j)
-        for j in range(n_fabrics)
-    ]
-    mirrored = [
-        _build_fastpath_fabric(kind, n_ports, seed * n_fabrics + j)
-        for j in range(n_fabrics)
-    ]
-    engine = FabricArrayEngine(backend=backend)
-    for fabric in mirrored:
-        engine.register(fabric)
-    traffic = [
-        PATTERNS[pattern](
-            n_ports, _seeded_rng(f"fastpath-traffic/{pattern}/{j}", seed)
-        )
-        for j in range(n_fabrics)
-    ]
-    pin_at, unpin_at = n_slots // 3, (2 * n_slots) // 3
-
-    def diverged(slot: int, j: int, reference: Any, candidate: Any):
-        return Divergence(
-            kind="fastpath",
-            pair=kind,
-            seed=seed,
-            size=n_ports,
-            case=f"{pattern}/{backend}",
-            round=slot,
-            port=j,
-            reference=repr(reference)[:200],
-            candidate=repr(candidate)[:200],
-        )
-
-    for slot in range(n_slots):
-        if slot == pin_at:
-            engine.pin_scalar(mirrored[0])
-        elif slot == unpin_at:
-            engine.unpin(mirrored[0])
-        for j in range(n_fabrics):
-            for input_port, output_port in traffic[j].arrivals(slot):
-                scalar[j].offer(input_port, output_port, slot)
-                engine.offer(mirrored[j], input_port, output_port, slot)
-        for fabric in scalar:
-            fabric.step(slot)
-        engine.step_all(slot)
-        if slot % 16 == 15:
-            engine.sync()
-            for j in range(n_fabrics):
-                ref = _fastpath_metrics_view(scalar[j])
-                cand = _fastpath_metrics_view(mirrored[j])
-                if ref != cand:
-                    return diverged(slot, j, ref, cand), ""
-    engine.sync()
-    for fabric in mirrored:
-        engine.unregister(fabric)
-    state_hash = hashlib.sha256()
-    for j in range(n_fabrics):
-        ref_state = _fastpath_state(scalar[j])
-        cand_state = _fastpath_state(mirrored[j])
-        state_hash.update(canonical_bytes(ref_state))
-        if ref_state != cand_state:
-            keys = [k for k in ref_state if ref_state[k] != cand_state.get(k)]
-            return (
-                diverged(
-                    n_slots,
-                    j,
-                    {k: ref_state[k] for k in keys},
-                    {k: cand_state.get(k) for k in keys},
-                ),
-                state_hash.hexdigest(),
-            )
-    return None, state_hash.hexdigest()
-
-
-def fastpath_sweep(
-    seeds: Sequence[int],
-    sizes: Sequence[int] = (4, 16),
-    kinds: Sequence[str] = FASTPATH_KINDS,
-    patterns: Sequence[str] = tuple(PATTERNS),
-    n_slots: int = 120,
-    backends: Optional[Sequence[str]] = None,
-) -> Tuple[List[Divergence], List[Dict[str, Any]]]:
-    """The engine differential grid over both backends.
-
-    The pure-Python stacked-loop backend is always swept (it is the
-    no-numpy fallback and must satisfy the same oracle); the numpy
-    backend is swept when numpy is importable and not forced off.
-    """
-    if backends is None:
-        from repro.fastpath.backend import load_numpy
-
-        backends = ("python",) if load_numpy() is None else (
-            "numpy", "python"
-        )
-    divergences: List[Divergence] = []
-    records: List[Dict[str, Any]] = []
-    for backend in backends:
-        for kind in kinds:
-            for n_ports in sizes:
-                for pattern in patterns:
-                    for seed in seeds:
-                        divergence, state_sha = compare_fastpath(
-                            kind,
-                            n_ports,
-                            seed,
-                            pattern,
-                            n_slots=n_slots,
-                            backend=backend,
-                        )
-                        if divergence is not None:
-                            divergences.append(divergence)
-                        records.append(
-                            {
-                                "kind": "fastpath",
-                                "matcher": kind,
-                                "backend": backend,
-                                "n_ports": n_ports,
-                                "pattern": pattern,
-                                "seed": seed,
-                                "n_slots": n_slots,
-                                "state_sha256": state_sha,
-                                "agreed": divergence is None,
-                            }
-                        )
-    return divergences, records
-
-
 def _scrub_tick_phase(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
     """Drop the fields the slot driver is allowed to change.
 
     Wave coalescing re-phases per-switch slot timers onto one fabric-wide
     tick and replaces N timer events with one, so ``slot_index`` and
-    ``events_executed`` differ by design; every traffic-visible outcome
+    ``events_executed`` differ by design; every end-of-run outcome
     (forwarding counts, queue occupancy, credits, epochs, link and host
-    state) must be byte-identical.
+    state) must be byte-identical.  Per-cell delivery times are not in
+    the fingerprint, and they do shift: a tick requested mid-window runs
+    at the wave boundary.
     """
     scrubbed = dict(fingerprint)
     scrubbed.pop("events_executed", None)

@@ -34,6 +34,7 @@ from typing import Dict
 
 from repro._types import NodeId, VcId
 from repro.constants import FAST_LINK_BPS
+from repro.core.guaranteed.frames import ScheduleError
 from repro.core.routing.signaling import SetupRequest
 from repro.net.cell import TrafficClass
 
@@ -144,7 +145,7 @@ class DistributedAdmissionAgent:
             self.switch.add_reservation(
                 in_port, out_port, request.cells_per_frame
             )
-        except Exception:
+        except ScheduleError:
             self._reject_back(in_port, request.vc, "schedule full")
             return
         self._residual[out_port] -= request.cells_per_frame

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro._types import NodeId, VcId
+from repro.core.routing.paths import RoutingError, port_on
 from repro.net.cell import TrafficClass
 
 
@@ -194,7 +195,7 @@ class SignalingAgent:
             return None
         try:
             dest_switch, _ = computer.attachment(request.destination)
-        except Exception:
+        except RoutingError:
             return None
         if dest_switch == self.node_id:
             # The view says the host is here but it is not cabled (stale
@@ -206,8 +207,6 @@ class SignalingAgent:
         if hop is None:
             return None
         neighbor, edge = hop
-        from repro.core.routing.paths import port_on
-
         out_port = port_on(edge, self.node_id)
         traversal_down = not computer.orientation.is_up_traversal(
             edge, self.node_id

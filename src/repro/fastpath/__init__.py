@@ -1,21 +1,9 @@
-"""Vectorized whole-fabric slot engine (DESIGN §13).
+"""Fabric-wide slot clock (DESIGN §13).
 
-``FabricArrayEngine`` batches every registered switch fabric's crossbar
-match into one array pass per cell slot; ``FabricSlotDriver`` coalesces
-per-switch kernel slot events into one wave event per slot.  numpy is an
-optional dev extra -- without it (or with ``REPRO_FASTPATH_FORCE_PYTHON``
-set) the same API runs a pure-Python stacked loop with identical
-results.
+``FabricSlotDriver`` coalesces per-switch kernel slot events into one
+wave event per slot; ``Network(fabric_slot_driver=True)`` turns it on.
 """
 
-from repro.fastpath.backend import FORCE_PYTHON_ENV, load_numpy, python_forced
 from repro.fastpath.driver import FabricSlotDriver
-from repro.fastpath.engine import FabricArrayEngine
 
-__all__ = [
-    "FORCE_PYTHON_ENV",
-    "FabricArrayEngine",
-    "FabricSlotDriver",
-    "load_numpy",
-    "python_forced",
-]
+__all__ = ["FabricSlotDriver"]

@@ -70,8 +70,8 @@ class Network:
                 wave event per slot (DESIGN §13).  Switches with clock
                 drift keep their private timers.  Off by default: the
                 wave models a fabric-wide synchronized slot clock, so
-                event schedules (and digests) differ from per-switch
-                timing while delivered traffic does not.
+                event schedules, digests and cell delivery times differ
+                from per-switch timing (DESIGN §13.2).
         """
         self.topology = topology
         self.sim = Simulator()

@@ -4,7 +4,7 @@ Attach a :class:`SubsystemProfiler` to ``Simulator.profiler`` and the
 kernel (which swaps in its instrumented loop, exactly as for the tracer)
 routes every dispatched event through :meth:`dispatch`, which classifies
 the callback into a *subsystem* -- matcher, routing, flowcontrol, links,
-aal, reconfig, monitor, traffic, fastpath (the whole-fabric slot
+aal, reconfig, monitor, traffic, fastpath (the fabric slot
 driver's coalesced wave ticks) -- and counts it.  Event counts are a
 pure function of the dispatch order, so for a fixed seed they are as
 deterministic as the run digest: two runs of the same scenario produce

@@ -34,7 +34,7 @@ from repro.constants import AN1_LINK_BPS, AN1_SWITCH_PORTS, CUT_THROUGH_DELAY_US
 from repro.core.reconfig.algorithm import ReconfigurationAgent
 from repro.core.reconfig.monitor import PingPayload, PortMonitor, make_ack
 from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
-from repro.core.routing.paths import RouteComputer, port_on
+from repro.core.routing.paths import RouteComputer, RoutingError, port_on
 from repro.net.cell import Cell, CellKind
 from repro.net.node import Node
 from repro.net.packet import Packet
@@ -334,7 +334,7 @@ class An1Switch(Node):
                 return index
         try:
             dest_switch, _ = computer.attachment(destination)
-        except Exception:
+        except RoutingError:
             return None
         if dest_switch == self.node_id:
             return None

@@ -33,6 +33,7 @@ from repro.constants import (
     FAST_CELL_TIME_US,
     FRAME_SLOTS,
 )
+from repro.core.flowcontrol.credits import CreditError
 from repro.core.flowcontrol.resync import ResyncReply, ResyncRequest
 from repro.core.flowcontrol.sizing import credits_for_link
 from repro.core.guaranteed.distributed import (
@@ -50,7 +51,7 @@ from repro.core.reconfig.algorithm import ReconfigurationAgent
 from repro.core.reconfig.monitor import PingPayload, PortMonitor, make_ack
 from repro.core.reconfig.skeptic import LinkVerdict, Skeptic
 from repro.core.routing.multicast import FanoutToken
-from repro.core.routing.paths import RouteComputer
+from repro.core.routing.paths import RouteComputer, RoutingError
 from repro.core.routing.signaling import (
     PageOut,
     SetupRequest,
@@ -580,7 +581,7 @@ class AN2Switch(Node):
             )
             try:
                 state.receive()
-            except Exception:
+            except CreditError:
                 # A correct upstream never overflows us; a buggy or
                 # byzantine one loses the cell (counted, not crashed).
                 card.cells_dropped += 1
@@ -689,8 +690,7 @@ class AN2Switch(Node):
         if driver is not None and self.clock.drift_ppm == 0.0:
             # Fabric-wide slot wave: one kernel event for every switch
             # due this slot.  A mid-run clock-drift fault drops the
-            # switch back to its private timer (the branch above), the
-            # same blast-radius fallback the array engine uses.
+            # switch back to its private timer (the branch above).
             driver.request_tick(self)
             return
         self.sim.schedule(
@@ -983,7 +983,7 @@ class AN2Switch(Node):
         else:
             try:
                 dest_switch, _ = computer.attachment(request.destination)
-            except Exception:
+            except RoutingError:
                 return False
             if dest_switch == self.node_id:
                 return False

@@ -3,6 +3,7 @@
 import pytest
 
 from repro._types import host_id, switch_id
+from repro.core.guaranteed.frames import ScheduleError
 from repro.core.routing.circuits import CircuitState
 from repro.net.network import Network
 from repro.net.topology import Topology
@@ -87,6 +88,26 @@ class TestRejection:
             lambda: vc in host.reservation_outcomes, timeout_us=100_000
         )
         assert host.reservation_outcomes[vc].startswith("rejected")
+
+
+class TestScheduleErrors:
+    def test_schedule_error_rejects(self, net, monkeypatch):
+        def full(in_port, out_port, cells_per_frame):
+            raise ScheduleError("no free slot")
+
+        monkeypatch.setattr(net.switch("s1"), "add_reservation", full)
+        circuit, outcome = net.reserve_bandwidth_distributed("h0", "h1", 8)
+        assert outcome.startswith("rejected")
+        assert "schedule full" in outcome
+        assert circuit.state is CircuitState.TORN_DOWN
+
+    def test_unrelated_error_propagates(self, net, monkeypatch):
+        def broken(in_port, out_port, cells_per_frame):
+            raise RuntimeError("bug in add_reservation")
+
+        monkeypatch.setattr(net.switch("s1"), "add_reservation", broken)
+        with pytest.raises(RuntimeError, match="bug in add_reservation"):
+            net.reserve_bandwidth_distributed("h0", "h1", 8)
 
 
 class TestLocalKnowledgeLimit:

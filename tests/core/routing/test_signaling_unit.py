@@ -111,6 +111,20 @@ class TestUnicastSetup:
         )
         assert agent.setups_failed == 1
 
+    def test_unexpected_attachment_error_propagates(self):
+        # Only RoutingError means "no route"; anything else is a bug.
+        agent, transport = make_agent(me=0)
+
+        def broken(host, preferred_port=0):
+            raise RuntimeError("bug in attachment")
+
+        transport.computer.attachment = broken
+        with pytest.raises(RuntimeError, match="bug in attachment"):
+            agent.handle(
+                1, SetupRequest(vc=9, source=host_id(0), destination=host_id(1))
+            )
+        assert agent.setups_failed == 0
+
     def test_no_view_fails_cleanly(self):
         agent, transport = make_agent(me=0)
         transport.computer = None

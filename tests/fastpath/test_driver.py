@@ -7,11 +7,12 @@ The driver's contract has three legs:
    private timer (the hybrid-fidelity fallback).
 2. **Waves coalesce** -- S switches requesting ticks in one slot window
    cost one kernel event, dispatched in node-id order.
-3. **Traffic neutrality** -- a Network run with ``fabric_slot_driver=
-   True`` delivers byte-identical traffic outcomes (forwarding counts,
-   queues, credits, epochs, link/host state) while executing strictly
-   fewer kernel events; only the per-switch tick phase (``slot_index``)
-   may differ, because the wave models one fabric-wide slot clock.
+3. **Count neutrality** -- on the conformance replay scenario a Network
+   run with ``fabric_slot_driver=True`` ends with byte-identical counts
+   (forwarding, queues, credits, epochs, link/host state) while
+   executing strictly fewer kernel events; the per-switch tick phase
+   (``slot_index``) and per-cell delivery times may differ, because the
+   wave models one fabric-wide slot clock.
 """
 
 from types import SimpleNamespace

@@ -1,11 +1,14 @@
 """Tests for the AN1 packet switch and network."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro._types import host_id, switch_id
+from repro.core.routing.paths import RoutingError
 from repro.net.packet import Packet
 from repro.net.topology import Topology
-from repro.switch.an1 import An1Config, An1Network
+from repro.switch.an1 import An1Config, An1Network, _QueuedPacket
 
 
 def fast_an1_config(**overrides):
@@ -164,3 +167,36 @@ class TestAn1Reconfiguration:
         )
         net.run(100_000)
         assert len(h1.delivered) == 1
+
+
+class TestAn1OutputErrors:
+    """``_output_for`` treats only RoutingError as "no route"."""
+
+    @staticmethod
+    def _output_with(error):
+        topo = Topology.line(2)
+        topo.add_host(0)
+        topo.add_host(1)
+        topo.connect("h0", "s0", port_a=0)
+        topo.connect("h1", "s1", port_a=0)
+        switch = An1Network(topo, config=fast_an1_config()).switches[
+            switch_id(0)
+        ]
+
+        def attachment(host, preferred_port=0):
+            raise error
+
+        switch._route_computer = SimpleNamespace(attachment=attachment)
+        queued = _QueuedPacket(
+            packet=Packet(source=host_id(0), destination=host_id(1), size=64),
+            gone_down=False,
+            enqueued_at=0.0,
+        )
+        return switch._output_for(queued)
+
+    def test_unroutable_destination_has_no_output(self):
+        assert self._output_with(RoutingError("gone")) is None
+
+    def test_unrelated_error_propagates(self):
+        with pytest.raises(RuntimeError, match="bug in attachment"):
+            self._output_with(RuntimeError("bug in attachment"))

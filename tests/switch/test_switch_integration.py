@@ -1,10 +1,14 @@
 """Event-driven switch behaviour observed through small networks."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro._types import host_id, switch_id
+from repro.core.flowcontrol.credits import DownstreamCredits
 from repro.core.reconfig.skeptic import LinkVerdict
-from repro.net.cell import TrafficClass
+from repro.core.routing.paths import RoutingError
+from repro.net.cell import Cell, TrafficClass
 from repro.net.packet import Packet
 from tests.conftest import converged_line, line_with_hosts
 
@@ -133,3 +137,51 @@ class TestControlPlane:
 
     def test_buffered_cells_reported(self, small_net):
         assert small_net.switch("s1").buffered_cells() == 0
+
+
+class TestTypedErrorHandlers:
+    """Each handler catches only the error its call is documented to
+    raise; any other exception is a bug and must propagate."""
+
+    def test_credit_overflow_is_a_counted_drop(self, small_net):
+        switch = small_net.switch("s1")
+        state = switch.cards[0].ensure_downstream(999, 1)
+        state.occupied = state.allocation
+        switch._accept_data(0, Cell(vc=999))
+        assert switch.stats.cells_dropped == 1
+        assert switch.cards[0].cells_dropped == 1
+
+    def test_unrelated_receive_error_propagates(self, small_net, monkeypatch):
+        def broken(self):
+            raise RuntimeError("bug in receive")
+
+        monkeypatch.setattr(DownstreamCredits, "receive", broken)
+        switch = small_net.switch("s1")
+        with pytest.raises(RuntimeError, match="bug in receive"):
+            switch._accept_data(0, Cell(vc=999))
+        assert switch.stats.cells_dropped == 0
+
+    @staticmethod
+    def _reroute_with(switch, error):
+        def attachment(host, preferred_port=0):
+            raise error
+
+        entry = SimpleNamespace(
+            request=SimpleNamespace(destination=host_id(1), gone_down=False),
+            out_port=1,
+        )
+        return switch._reroute_entry(
+            switch.cards[0],
+            entry,
+            SimpleNamespace(attachment=attachment),
+            frozenset(),
+        )
+
+    def test_unroutable_destination_is_not_rerouted(self, small_net):
+        switch = small_net.switch("s0")
+        assert self._reroute_with(switch, RoutingError("gone")) is False
+
+    def test_unrelated_reroute_error_propagates(self, small_net):
+        switch = small_net.switch("s0")
+        with pytest.raises(RuntimeError, match="bug in attachment"):
+            self._reroute_with(switch, RuntimeError("bug in attachment"))

@@ -9,16 +9,15 @@ contract") in three stages:
    process and once per ``PYTHONHASHSEED`` value in a subprocess; every
    run must produce the identical hex digest.
 2. **Differential sweep** -- drives the reference matchers
-   (``Pim``/``Islip``/``FifoScheduler``) against their bitmask fast-path
-   counterparts cell-by-cell from identical seeds across fabric sizes
-   and load patterns, cross-checks AN1 against AN2 routing on shared
-   random topologies, drives batched (cell-train) links against the
-   per-cell reference schedule under scripted faults, proves the
-   whole-fabric slot engine (:mod:`repro.fastpath`) bit-identical to
-   per-switch scalar stepping on both its backends, and checks the
-   fabric slot driver leaves traffic outcomes untouched while executing
-   fewer kernel events.  Any divergence is reported as the first
-   divergent case and fails the gate.
+   (``Pim``/``Islip``) against their bitmask fast-path counterparts
+   cell-by-cell from identical seeds across fabric sizes and load
+   patterns (``FifoScheduler`` cases replay the reference alone),
+   cross-checks AN1 against AN2 routing on shared random topologies,
+   drives batched (cell-train) links against the per-cell reference
+   schedule under scripted faults, and checks the fabric slot driver
+   leaves end-of-run traffic counts untouched while executing fewer
+   kernel events.  Any divergence is reported as the first divergent
+   case and fails the gate.
 3. **Nondeterminism lint** -- ``tools/lint_determinism.py`` over
    ``src/repro``.
 
@@ -44,7 +43,6 @@ sys.path.insert(0, str(SRC))
 
 from repro.conform.digest import digest_scenario  # noqa: E402
 from repro.conform.oracle import (  # noqa: E402
-    fastpath_sweep,
     link_sweep,
     matcher_sweep,
     routing_sweep,
@@ -109,29 +107,21 @@ def check_differential(n_seeds: int, n_slots: int) -> bool:
     divergences, corpus = matcher_sweep(seeds, n_slots=n_slots)
     routing_div, routing_corpus = routing_sweep(seeds)
     link_div, link_corpus = link_sweep(seeds)
-    # The fastpath differential is heavier per case (scalar twins + the
-    # stacked engine, both backends); cap its seed list so the stage
-    # stays proportionate to the matcher sweep.
-    fastpath_seeds = seeds[: max(2, n_seeds // 4)]
-    fastpath_div, fastpath_corpus = fastpath_sweep(
-        fastpath_seeds, n_slots=min(n_slots, 120)
-    )
-    driver_div, driver_corpus = slot_driver_sweep(fastpath_seeds[:2])
+    driver_div, driver_corpus = slot_driver_sweep(seeds[:2])
     total = (
         len(divergences) + len(routing_div) + len(link_div)
-        + len(fastpath_div) + len(driver_div)
+        + len(driver_div)
     )
     label = "OK" if total == 0 else "FAIL"
     print(
         f"      {len(corpus)} matcher cases + {len(routing_corpus)} "
         f"routing cases + {len(link_corpus)} link cases + "
-        f"{len(fastpath_corpus)} fastpath cases + {len(driver_corpus)} "
-        f"slot-driver cases -> "
+        f"{len(driver_corpus)} slot-driver cases -> "
         f"{total} divergence(s) [{label}, {time.time() - t0:.1f}s]"
     )
     for div in (
         list(divergences) + list(routing_div) + list(link_div)
-        + list(fastpath_div) + list(driver_div)
+        + list(driver_div)
     ):
         print(f"      {div}")
     return total == 0
