@@ -208,7 +208,7 @@ def fingerprint_switch(switch) -> Dict[str, Any]:
     stats = switch.stats
     return {
         "node": str(switch.node_id),
-        "slot_index": switch._slot_index,
+        "slot_index": switch.slot_index,
         "vc_in_port": sorted(
             [int(vc), port] for vc, port in switch._vc_in_port.items()
         ),
@@ -275,23 +275,17 @@ def fingerprint_network(net: Network) -> Dict[str, Any]:
 # ======================================================================
 # the canonical digest scenario
 # ======================================================================
-def digest_scenario(
+def replay_network(
     seed: int = 0,
     duration_us: float = 80_000.0,
-    flight_dump: Optional[str] = None,
-) -> str:
-    """Build, run, and digest the reference replay scenario.
+    digest: Optional[RunDigest] = None,
+) -> Network:
+    """Build and run the reference replay scenario; returns the network.
 
     A 2x2 redundant grid with two dual-homed hosts boots, converges, and
-    carries Poisson traffic over one circuit for ``duration_us``.  The
-    returned hex digest folds together the full event dispatch order and
-    the end-of-run :func:`fingerprint_network`; it must be identical for
-    the same ``seed`` across repeated runs, interpreter invocations, and
-    ``PYTHONHASHSEED`` values.
-
-    ``flight_dump``, if given, is a path to write the network's
-    flight-recorder rings to after the run -- the conformance gate uses
-    it to leave an autopsy artifact when digests diverge.
+    carries Poisson traffic over one circuit for ``duration_us``.  When
+    ``digest`` is given it observes every kernel event of the run and is
+    detached again before the network is returned.
     """
     from repro.net.host import HostConfig
     from repro.switch.switch import SwitchConfig
@@ -323,7 +317,6 @@ def digest_scenario(
             frame_slots=32,
         ),
     )
-    digest = RunDigest()
     net.sim.digest = digest
     net.start()
     net.run_until(net.converged, timeout_us=duration_us)
@@ -341,6 +334,27 @@ def digest_scenario(
     workload.start()
     net.run(duration_us)
     net.sim.digest = None
+    return net
+
+
+def digest_scenario(
+    seed: int = 0,
+    duration_us: float = 80_000.0,
+    flight_dump: Optional[str] = None,
+) -> str:
+    """Run and digest the reference replay scenario (:func:`replay_network`).
+
+    The returned hex digest folds together the full event dispatch order
+    and the end-of-run :func:`fingerprint_network`; it must be identical
+    for the same ``seed`` across repeated runs, interpreter invocations,
+    and ``PYTHONHASHSEED`` values.
+
+    ``flight_dump``, if given, is a path to write the network's
+    flight-recorder rings to after the run -- the conformance gate uses
+    it to leave an autopsy artifact when digests diverge.
+    """
+    digest = RunDigest()
+    net = replay_network(seed, duration_us, digest=digest)
     digest.absorb("network-state", fingerprint_network(net))
     if flight_dump is not None:
         net.recorder.dump(

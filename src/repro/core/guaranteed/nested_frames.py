@@ -28,7 +28,7 @@ sophisticated algorithm for building frame schedules".
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.constants import FRAME_SLOTS, NESTED_FRAME_SLOTS
 from repro.core.guaranteed.frames import FrameSchedule, ScheduleError
@@ -112,6 +112,11 @@ class NestedFrameSchedule:
             raise ValueError(f"slot {slot} out of range")
         subframe_index, offset = divmod(slot, self.subframe_slots)
         return self.subframes[subframe_index].slot_assignments(offset)
+
+    def output_of(self, slot: int, input_port: int) -> Optional[int]:
+        """The output reserved for ``input_port`` in an outer-frame slot."""
+        subframe_index, offset = divmod(slot, self.subframe_slots)
+        return self.subframes[subframe_index].output_of(offset, input_port)
 
     def total_reserved(self) -> int:
         return sum(self._reservations.values())

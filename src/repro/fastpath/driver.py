@@ -1,7 +1,7 @@
 """One kernel slot event for the whole fabric.
 
-Without the driver every :class:`~repro.switch.switch.AN2Switch` with
-backlog schedules its *own* ``_slot_tick`` timer, so a busy S-switch
+Without the driver every :class:`~repro.switch.switch.AN2Switch` with a
+cell that could move schedules its *own* ``_slot_tick`` timer, so a busy S-switch
 network pays S heap pushes + S heap pops + S callback dispatches per
 cell slot.  :class:`FabricSlotDriver` replaces that with a single
 *wave* event: switches asking for a tick in the same slot window are

@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, Tuple
 QUALNAME_RULES: Tuple[Tuple[str, str], ...] = (
     ("FabricSlotDriver._fire", "fastpath"),
     ("AN2Switch._slot_tick", "matcher"),
+    ("AN2Switch._wake_for_reserved_slot", "matcher"),
     ("AN2Switch._resync_tick", "flowcontrol"),
     ("AN2Switch._handle_signaling", "routing"),
     ("AN2Switch._reroute_port", "routing"),

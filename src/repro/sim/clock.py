@@ -10,6 +10,8 @@ fixed number of parts-per-million, with an arbitrary phase offset.
 
 from __future__ import annotations
 
+from typing import Callable, List
+
 from repro.sim.kernel import Simulator
 
 
@@ -34,6 +36,9 @@ class DriftingClock:
         self._rate = 1.0 + drift_ppm * 1e-6
         if self._rate <= 0:
             raise ValueError(f"drift {drift_ppm} ppm gives non-positive rate")
+        #: callbacks run by :meth:`set_drift` just *before* the rate
+        #: steps, so an owner can settle whatever it timed at the old rate.
+        self.rate_observers: List[Callable[[], None]] = []
 
     @property
     def rate(self) -> float:
@@ -61,6 +66,8 @@ class DriftingClock:
         rate = 1.0 + drift_ppm * 1e-6
         if rate <= 0:
             raise ValueError(f"drift {drift_ppm} ppm gives non-positive rate")
+        for observer in list(self.rate_observers):
+            observer()
         local = self.local_now()
         self.drift_ppm = drift_ppm
         self._rate = rate

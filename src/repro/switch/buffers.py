@@ -147,3 +147,7 @@ class GuaranteedQueues:
 
     def has_backlog(self) -> bool:
         return self._occupancy > 0
+
+    def backlogged_outputs(self) -> List[int]:
+        """Outputs with at least one cell waiting."""
+        return [out_port for out_port, queue in self._queues.items() if queue]

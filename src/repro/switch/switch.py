@@ -59,6 +59,7 @@ from repro.core.routing.signaling import (
     TeardownRequest,
 )
 from repro.net.cell import Cell, CellKind, TrafficClass
+from repro.net.link import LinkState
 from repro.net.node import Node
 from repro.net.port import Port
 from repro.net.topology import Edge, TopologyView
@@ -184,12 +185,22 @@ class AN2Switch(Node):
         self.stats = SwitchStats()
         self._route_computer: Optional[RouteComputer] = None
         self._vc_in_port: Dict[VcId, int] = {}
+        #: slots ticked or skipped since boot (see the crossbar loop).
         self._slot_index = 0
-        self._tick_scheduled = False
+        self._slot_ticks = 0
+        #: the grid chain's next slot instant, or None with no live chain.
+        self._grid_time: Optional[float] = None
+        #: when the switch last emptied while its chain lived.
+        self._drained_at: Optional[float] = None
+        #: a slot tick is armed for the chain's next instant.
+        self._ticking = False
+        #: the pending slot-loop kernel event, for cancellation.
+        self._wake = None
         #: optional repro.fastpath.FabricSlotDriver; when set (and the
         #: local clock is drift-free) slot timers coalesce into its wave.
         self._slot_driver = None
         self._started = False
+        self.clock.rate_observers.append(self._before_rate_step)
         #: observers of verdict changes: callbacks (port_index, verdict).
         self.verdict_observers: List[Callable[[int, LinkVerdict], None]] = []
         #: registry node for the per-epoch route cache counters; the
@@ -214,6 +225,8 @@ class AN2Switch(Node):
         probes.gauge("reroutes", lambda: stats.reroutes)
         probes.gauge("broken_circuits", lambda: stats.broken_circuits)
         probes.gauge("buffered_cells", self.buffered_cells)
+        probes.gauge("slot_ticks", lambda: self._slot_ticks)
+        probes.gauge("slots_skipped", lambda: self.slot_index - self._slot_ticks)
 
     def _make_credit_trace(self, port_index: int, vc: VcId):
         """Hook factory for :class:`UpstreamCredits` tracing.
@@ -247,6 +260,7 @@ class AN2Switch(Node):
         for card in self.cards:
             if not card.port.connected:
                 continue
+            card.port.link.state_observers.append(self._on_link_state)
             skeptic = Skeptic(
                 base_wait_us=self.config.skeptic_base_wait_us,
                 max_level=self.config.skeptic_max_level,
@@ -470,6 +484,7 @@ class AN2Switch(Node):
         if out_port is not None:
             self.cards[out_port].upstream.pop(vc, None)
             self.cards[out_port].resync.pop(vc, None)
+        self._kick(restart=False)
         return (in_port, out_port if out_port is not None else -1)
 
     def send_signaling(self, port_index: int, message) -> None:
@@ -510,9 +525,10 @@ class AN2Switch(Node):
     ) -> None:
         if isinstance(self.frame_schedule, NestedFrameSchedule):
             self.frame_schedule.release(in_port, out_port, cells_per_frame)
-            return
-        for _ in range(cells_per_frame):
-            remove_cell(self.frame_schedule, in_port, out_port)
+        else:
+            for _ in range(cells_per_frame):
+                remove_cell(self.frame_schedule, in_port, out_port)
+        self._kick(restart=False)
 
     # ==================================================================
     # receive path
@@ -682,26 +698,129 @@ class AN2Switch(Node):
     # ==================================================================
     # crossbar loop
     # ==================================================================
-    def _kick(self) -> None:
-        if self._tick_scheduled:
+    # The switch ticks on a grid of slot instants, each one slot (by its
+    # own clock) after the last.  A grid chain starts a slot after a kick
+    # and lives while any cell is queued or any reservation exists; a
+    # slot in which no cell can move is skipped -- no kernel event --
+    # but still counted, so ``_slot_index`` (the frame phase) and every
+    # tick instant are exactly those of a switch that ticks every slot.
+    # DESIGN.md section 14 gives the wake rules and why they are exact.
+    def _kick(self, restart: bool = True) -> None:
+        """Wake the switch: something that can unblock a cell happened.
+
+        With ``restart`` (enqueues, credits, circuit installs, new
+        reservations) a dead grid chain starts again one slot from now;
+        the other wake sources only wake a live chain.
+        """
+        if self._ticking:
             return
-        self._tick_scheduled = True
         driver = self._slot_driver
         if driver is not None and self.clock.drift_ppm == 0.0:
             # Fabric-wide slot wave: one kernel event for every switch
             # due this slot.  A mid-run clock-drift fault drops the
-            # switch back to its private timer (the branch above).
-            driver.request_tick(self)
+            # switch back to its private grid.
+            if restart or self._has_work():
+                self._ticking = True
+                driver.request_tick(self)
             return
-        self.sim.schedule(
-            self.clock.global_delay(self.config.slot_time_us), self._slot_tick
-        )
+        now = self.sim.now
+        if self._grid_time is not None:
+            self._advance_grid(now)
+        work = self._has_work()
+        if self._grid_time is None:
+            if not (restart or work):
+                return
+            self._grid_time = now + self.clock.global_delay(
+                self.config.slot_time_us
+            )
+        if work:
+            self._drained_at = None
+            self._arm(self._grid_time)
+        else:
+            # The chain ends at its first slot at or after now.
+            if self._drained_at is None:
+                self._drained_at = now
+            if self._wake is not None:
+                self._wake.cancel()
+                self._wake = None
+
+    def _has_work(self) -> bool:
+        if self.frame_schedule.total_reserved():
+            return True
+        for card in self.cards:
+            if card.vc_queues.has_backlog() or card.guaranteed_queues.has_backlog():
+                return True
+        return False
+
+    def _advance_grid(self, until: float) -> None:
+        """Count the skipped slots of the grid chain before ``until``.
+
+        The chain ends at its first slot at or after ``_drained_at``,
+        where the switch would have ticked, found nothing queued and no
+        reservation, and stopped.
+        """
+        t = self._grid_time
+        if t is None or t >= until:
+            return
+        delay = self.clock.global_delay(self.config.slot_time_us)
+        skipped = 0
+        drained = self._drained_at
+        if drained is not None and drained < until:
+            while t < drained:
+                t += delay
+                skipped += 1
+            if t < until:
+                self._slot_index += skipped + 1
+                self._grid_time = self._drained_at = None
+                return
+        while t < until:
+            t += delay
+            skipped += 1
+        self._slot_index += skipped
+        self._grid_time = t
+
+    def _arm(self, time: float) -> None:
+        """Arm the slot tick of the grid instant ``time``, the chain's
+        next instant at or after now."""
+        self._ticking = True
+        wake = self._wake
+        if wake is not None:
+            if wake.time == time and wake.callback == self._slot_tick:
+                return
+            wake.cancel()
+        self._wake = self.sim.schedule_at(time, self._slot_tick)
+
+    def _before_rate_step(self) -> None:
+        """Settle the grid at the old rate before the clock steps.
+
+        The next grid instant was timed at the old rate and stands; any
+        later wake was not, so it is replaced by a tick at that next
+        instant, which plans again at the new rate.
+        """
+        self._advance_grid(self.sim.now)
+        if self._grid_time is not None and self._wake is not None:
+            self._arm(self._grid_time)
+
+    def _on_link_state(self, link, state: LinkState) -> None:
+        if state is LinkState.WORKING:
+            self._kick(restart=False)
+
+    @property
+    def slot_index(self) -> int:
+        """Slots ticked or skipped so far: the frame-phase counter."""
+        now = self.sim.now
+        self._advance_grid(now)
+        return self._slot_index + (self._grid_time == now)
 
     def _slot_tick(self) -> None:
-        self._tick_scheduled = False
+        self._ticking = False
+        self._wake = None
+        now = self.sim.now
+        if self._grid_time != now:  # woken past skipped slots
+            self._advance_grid(now)
         slot = self._slot_index % self.config.frame_slots
         self._slot_index += 1
-        now = self.sim.now
+        self._slot_ticks += 1
 
         # The transmitter's oscillator drives the link in real hardware,
         # so a switch whose clock runs a few ppm fast must not see its
@@ -726,16 +845,25 @@ class AN2Switch(Node):
         used_outputs = set(pre_matched.values())
 
         credit_mode = self.config.flow_control == "credits"
+        #: does a queued circuit with credit wait only for an output that
+        #: is up but still serializing?  Then the next slot may move it.
+        busy = False
 
         def can_send(out_port: int, vc: VcId) -> bool:
+            nonlocal busy
             if out_port in used_outputs:
                 return False
-            if not self.ports[out_port].can_transmit_at(now, slack=slack):
-                return False
-            if not credit_mode:
+            if credit_mode:
+                upstream = self.cards[out_port].upstream.get(vc)
+                if upstream is None or not upstream.can_send:
+                    return False
+            port = self.ports[out_port]
+            if port.can_transmit_at(now, slack=slack):
                 return True
-            upstream = self.cards[out_port].upstream.get(vc)
-            return upstream is not None and upstream.can_send
+            if not busy:
+                link = port.link
+                busy = link is not None and link.working
+            return False
 
         requests: List[Set[int]] = []
         any_requests = False
@@ -748,7 +876,8 @@ class AN2Switch(Node):
                 any_requests = True
             requests.append(eligible)
 
-        if any_requests or pre_matched:
+        moved = any_requests or bool(pre_matched)
+        if moved:
             result = self.crossbar.schedule(requests, pre_matched=pre_matched)
             for in_port, out_port in result.matching.items():
                 if in_port in pre_matched:
@@ -776,12 +905,71 @@ class AN2Switch(Node):
                     entry.last_activity = now
                 self._transmit(out_port, cell, guaranteed=False)
 
-        # Keep ticking while any work (or any reservation) remains.
-        if self.frame_schedule.total_reserved() or any(
-            card.vc_queues.has_backlog() or card.guaranteed_queues.has_backlog()
-            for card in self.cards
-        ):
-            self._kick()
+        # The chain lives while any work (or any reservation) remains.
+        if not self._has_work():
+            self._grid_time = None
+            return
+        driver = self._slot_driver
+        if driver is not None and self.clock.drift_ppm == 0.0:
+            self._grid_time = None  # the wave, not a grid, times the slots
+            if moved or busy or any(
+                card.guaranteed_queues.has_backlog() for card in self.cards
+            ):
+                self._ticking = True
+                driver.request_tick(self)
+            return
+        delay = self.clock.global_delay(self.config.slot_time_us)
+        self._grid_time = now + delay
+        if moved or busy:
+            self._ticking = True
+            self._wake = self.sim.schedule_at(self._grid_time, self._slot_tick)
+            return
+        # Nothing can move until a wake source fires, except a queued
+        # guaranteed cell when its reserved slot comes round.
+        wait = self._slots_to_reserved_cell()
+        if wait is None:
+            return
+        if wait == 0:
+            self._arm(self._grid_time)
+            return
+        # Arm that slot's tick from the instant before it, as a switch
+        # ticking every slot would, so that it runs after the same
+        # same-instant events.
+        t = self._grid_time
+        for _ in range(wait - 1):
+            t += delay
+        self._wake = self.sim.schedule_at(t, self._wake_for_reserved_slot)
+
+    def _wake_for_reserved_slot(self) -> None:
+        self._wake = None
+        self._advance_grid(self.sim.now)
+        self._wake = self.sim.schedule_at(
+            self._grid_time + self.clock.global_delay(self.config.slot_time_us),
+            self._slot_tick,
+        )
+
+    def _slots_to_reserved_cell(self) -> Optional[int]:
+        """Slots from the next grid instant to the first reserved slot of
+        an (input, output) pair whose guaranteed queue holds a cell behind
+        a working link; ``None`` if there is no such slot."""
+        schedule = self.frame_schedule
+        if not schedule.total_reserved():
+            return None
+        frame = self.config.frame_slots
+        base = self._slot_index
+        best: Optional[int] = None
+        for card in self.cards:
+            if not card.guaranteed_queues.has_backlog():
+                continue
+            for out_port in card.guaranteed_queues.backlogged_outputs():
+                link = self.ports[out_port].link
+                if link is None or not link.working:
+                    continue  # a restore wakes the switch
+                for wait in range(frame if best is None else best):
+                    if schedule.output_of((base + wait) % frame, card.index) == out_port:
+                        best = wait
+                        break
+        return best
 
     def _transmit(self, out_port: int, cell: Cell, guaranteed: bool) -> None:
         if cell.trace_ctx is not None:

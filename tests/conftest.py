@@ -7,7 +7,7 @@ import pytest
 from repro.net.host import HostConfig
 from repro.net.network import Network
 from repro.net.topology import Topology
-from repro.switch.switch import SwitchConfig
+from repro.switch.switch import AN2Switch, SwitchConfig
 
 
 def fast_switch_config(**overrides) -> SwitchConfig:
@@ -70,3 +70,36 @@ def converged_line(n_switches: int = 3, seed: int = 1, **overrides) -> Network:
 def small_net() -> Network:
     """A converged 3-switch line with a host on each end."""
     return converged_line(3)
+
+
+class SlotTickLog:
+    """A ``Simulator.profiler`` hook that logs every slot tick.
+
+    Each ``AN2Switch._slot_tick`` dispatch is recorded as ``(switch,
+    time, slot index, cells moved)``; every other event just runs.
+    """
+
+    def __init__(self, sim) -> None:
+        self.sim = sim
+        self.ticks = []
+        sim.profiler = self
+
+    def dispatch(self, callback, args) -> None:
+        if getattr(callback, "__func__", None) is not AN2Switch._slot_tick:
+            callback(*args)
+            return
+        switch = callback.__self__
+        before = switch.stats.cells_forwarded
+        callback(*args)
+        self.ticks.append(
+            (
+                str(switch.node_id),
+                self.sim.now,
+                switch._slot_index - 1,
+                switch.stats.cells_forwarded - before,
+            )
+        )
+
+    def of(self, node: str, start: float = 0.0, end: float = float("inf")):
+        """The ticks of ``node`` at instants in ``[start, end)``."""
+        return [t for t in self.ticks if t[0] == node and start <= t[1] < end]

@@ -10,6 +10,8 @@ from repro.net.topology import Topology
 from repro.switch.switch import SwitchConfig
 from repro.traffic.arq import _ACK_MARK, _HEADER, ArqTransfer, _frame
 
+from tests.conftest import SlotTickLog
+
 
 def drop_net(seed=78, credit_allocation=8):
     topo = Topology.line(2)
@@ -180,8 +182,21 @@ class TestArq:
         assert arq._timer is None
         assert arq._pace_event is None
         transmitted_at_failure = arq.packets_transmitted
+        log = SlotTickLog(net.sim)
+        before = net.metrics_snapshot()["switch.s0"]["gauges"]
         net.run(4_000_000)
         assert arq.packets_transmitted == transmitted_at_failure
+        # The cells stranded behind the dead trunk cannot move, so s0
+        # must not poll its empty slots.
+        s0 = net.switch("s0")
+        assert s0.buffered_cells() > 0
+        assert log.of("s0") == []
+        # The registry tells the same story without a dispatch hook:
+        # every slot of the run was skipped, none ticked.
+        after = net.metrics_snapshot()["switch.s0"]["gauges"]
+        assert after["slot_ticks"] == before["slot_ticks"]
+        skipped = after["slots_skipped"] - before["slots_skipped"]
+        assert skipped >= 4_000_000 / s0.config.slot_time_us - 1
 
     def test_backoff_grows_timeout_between_rounds(self):
         net = drop_net()
